@@ -1,25 +1,21 @@
 """CI smoke test of the hardware-floor featurization tier.
 
-Exercises the :class:`~repro.core.featurization.CompiledFeaturizerPlan` and
-the process-parallel featurization tier end to end at a miniature scale:
+Exercises the :class:`~repro.core.featurization.CompiledFeaturizerPlan` end
+to end at a miniature scale:
 
 * **Bit-identity gate** — compiled-plan featurization equals the legacy
   interpreted ``featurize_ragged`` byte for byte on **every registered
-  dataset**, at float32 and float64, at every worker budget (0 / 1 / 2 / 7).
+  dataset**, at float32 and float64.
 * **Compiled single-core floor** — on a repeated serving-style workload the
   warm compiled plan must sustain at least ``MIN_COMPILED_SPEEDUP`` the
   legacy featurization throughput on one core (no parallelism involved, so
   the floor holds on any host).
-* **Process-tier floor** — on runners with >= ``MIN_CORES_FOR_FLOOR`` cores,
-  cold corpus featurization across worker processes must reach at least
-  ``MIN_PROCESS_SPEEDUP`` the serial cold throughput; on smaller hosts the
-  floor degrades to "no pathological slowdown" (IPC must not collapse it).
 
-BLAS threading is pinned to one thread *before numpy loads*, so worker
-processes are the only source of parallelism being measured.
+BLAS threading is pinned to one thread *before numpy loads*, so the floor
+measures the single-core gather and nothing else.
 
 Writes ``benchmarks/results/BENCH_smoke_compiled_featurization.json``
-(throughputs, speedups, per-dataset identity counts) next to a ``.txt``
+(throughputs, speedup, per-dataset identity counts) next to a ``.txt``
 report.
 
 Invoked as a plain script (``PYTHONPATH=src python
@@ -33,8 +29,7 @@ import os
 import sys
 
 # Pin BLAS to one thread before numpy is imported anywhere: featurization is
-# gather/scatter bound, and a multi-threaded BLAS in either the parent or the
-# worker processes would contaminate the floors.
+# gather/scatter bound, and a multi-threaded BLAS would contaminate the floor.
 from repro.utils.bench import pin_blas_threads
 
 pin_blas_threads()
@@ -59,16 +54,8 @@ RESULTS_PATH = RESULTS_DIRECTORY / "smoke_compiled_featurization.txt"
 #: Warm compiled-plan vs legacy throughput floor; single-core, so enforced
 #: unconditionally on every host.
 MIN_COMPILED_SPEEDUP = 2.0
-#: Process-tier vs serial cold featurization floor on >= 4 cores.
-MIN_PROCESS_SPEEDUP = 1.3
-#: Cores below this get the degraded floor (bit-identity + sanity only).
-MIN_CORES_FOR_FLOOR = 4
-#: On small hosts the process tier must at least not collapse under IPC.
-MAX_SMALL_HOST_SLOWDOWN = 0.5
 REPEATS = 5
 
-#: Worker budgets the identity gate sweeps (acceptance contract).
-IDENTITY_WORKER_BUDGETS = (0, 1, 2, 7)
 IDENTITY_DTYPES = ("float32", "float64")
 
 
@@ -88,7 +75,7 @@ def featurizer_parts(database, sample_size=50):
     return encoding, value_normalizer, samples
 
 
-def make_featurizer(parts, dtype="float64", compiled=True, **kwargs):
+def make_featurizer(parts, dtype="float64", compiled=True):
     encoding, value_normalizer, samples = parts
     return QueryFeaturizer(
         encoding,
@@ -97,7 +84,6 @@ def make_featurizer(parts, dtype="float64", compiled=True, **kwargs):
         variant=FeaturizationVariant.BITMAPS,
         dtype=dtype,
         compiled=compiled,
-        **kwargs,
     )
 
 
@@ -110,7 +96,7 @@ def assert_ragged_identical(got, reference, context):
 
 
 def identity_gate() -> list[str]:
-    """Compiled == legacy on every registered dataset, dtype and budget."""
+    """Compiled == legacy on every registered dataset and dtype."""
     lines = []
     for spec in registered_datasets():
         database = spec.generate(scale=0.05, seed=7)
@@ -119,28 +105,15 @@ def identity_gate() -> list[str]:
             labelled.query for labelled in QueryGenerator(database, workload_config).generate()
         ]
         parts = featurizer_parts(database)
-        checks = 0
         for dtype in IDENTITY_DTYPES:
-            reference = make_featurizer(parts, dtype, compiled=False).featurize_ragged(
-                queries
+            assert_ragged_identical(
+                make_featurizer(parts, dtype).featurize_ragged(queries),
+                make_featurizer(parts, dtype, compiled=False).featurize_ragged(queries),
+                (spec.name, dtype),
             )
-            for workers in IDENTITY_WORKER_BUDGETS:
-                featurizer = make_featurizer(
-                    parts, dtype, featurize_workers=workers, min_parallel_queries=2
-                )
-                try:
-                    assert_ragged_identical(
-                        featurizer.featurize_ragged(queries),
-                        reference,
-                        (spec.name, dtype, workers),
-                    )
-                finally:
-                    featurizer.close()
-                checks += 1
         lines.append(
-            f"  {spec.name:<8}: {checks} configurations bit-identical "
-            f"({len(queries)} queries, dtypes {'/'.join(IDENTITY_DTYPES)}, "
-            f"workers {'/'.join(map(str, IDENTITY_WORKER_BUDGETS))})"
+            f"  {spec.name:<8}: bit-identical ({len(queries)} queries, "
+            f"dtypes {'/'.join(IDENTITY_DTYPES)})"
         )
     return lines
 
@@ -181,37 +154,6 @@ def main() -> int:
         f"path (required >= {MIN_COMPILED_SPEEDUP:.1f}x on one core)"
     )
 
-    # Process tier: cold corpus featurization fanned across workers (the
-    # training-corpus scenario — the worker gather ignores the plan cache, so
-    # repeats measure steady IPC + gather throughput, not memoization).
-    workers = min(cores, 8)
-    parallel = make_featurizer(
-        parts, featurize_workers=workers, min_parallel_queries=2
-    )
-    try:
-        parallel.featurize_ragged(corpus)  # spawn + initialize the pool once
-        parallel_qps = best_throughput(
-            lambda: parallel.featurize_ragged(corpus), len(corpus)
-        )
-    finally:
-        parallel.close()
-    process_speedup = parallel_qps / legacy_qps
-
-    if cores >= MIN_CORES_FOR_FLOOR:
-        floor_note = f"required >= {MIN_PROCESS_SPEEDUP:.1f}x on {cores} cores"
-        assert process_speedup >= MIN_PROCESS_SPEEDUP, (
-            f"process-tier featurization is only {process_speedup:.2f}x the serial "
-            f"legacy path ({floor_note})"
-        )
-    else:
-        floor_note = (
-            f"{cores} core(s) < {MIN_CORES_FOR_FLOOR}: bit-identity + sanity floor only"
-        )
-        assert process_speedup >= MAX_SMALL_HOST_SLOWDOWN, (
-            f"process-tier featurization collapsed to {process_speedup:.2f}x "
-            f"on a small host"
-        )
-
     report_lines = [
         f"compiled featurization smoke ({cores} cores, BLAS pinned to 1 thread):",
         "bit-identity gate (compiled vs legacy featurize_ragged):",
@@ -220,8 +162,6 @@ def main() -> int:
         f"  legacy interpreted gather   : {legacy_qps:>10.0f} queries/s",
         f"  compiled plan (warm, 1 core): {compiled_qps:>10.0f} queries/s "
         f"({compiled_speedup:.2f}x, required >= {MIN_COMPILED_SPEEDUP:.1f}x)",
-        f"  process tier x{workers:<2} (cold)     : {parallel_qps:>10.0f} queries/s "
-        f"({process_speedup:.2f}x vs legacy, {floor_note})",
     ]
     report = "\n".join(report_lines) + "\n"
     RESULTS_DIRECTORY.mkdir(parents=True, exist_ok=True)
@@ -232,18 +172,13 @@ def main() -> int:
         "smoke_compiled_featurization",
         throughput_qps=compiled_qps,
         dtype="float64",
-        replicas=workers,
+        replicas=1,
         metrics={
             "legacy_qps": legacy_qps,
             "compiled_qps": compiled_qps,
-            "process_tier_qps": parallel_qps,
             "compiled_speedup": compiled_speedup,
-            "process_speedup": process_speedup,
-            "process_floor_enforced": cores >= MIN_CORES_FOR_FLOOR,
-            "featurize_workers": workers,
             "corpus_queries": len(corpus),
             "identity_datasets": len(identity_lines),
-            "identity_worker_budgets": list(IDENTITY_WORKER_BUDGETS),
             "identity_dtypes": list(IDENTITY_DTYPES),
         },
     )

@@ -22,12 +22,8 @@ cores, ``inference_chunk_size`` fixes the queries-per-chunk of
 ``scratch_rows_cap`` bounds the engines' grow-only scratch buffers so one
 huge batch cannot permanently pin peak memory in a long-lived service.
 
-``featurize_workers`` budgets the process-level featurization tier (see
-:mod:`repro.core.featurization`): ``None``/``0`` keep featurization
-in-process (compiled-plan path, the default), ``"auto"`` uses the CPU count,
-and a positive integer spawns that many featurization worker processes for
-large workloads — training-corpus featurization in
-:meth:`~repro.core.estimator.MSCNEstimator.fit` above all.
+Featurization always runs in-process through the compiled plan of
+:mod:`repro.core.featurization`.
 """
 
 from __future__ import annotations
@@ -88,7 +84,6 @@ class MSCNConfig:
     engine_replicas: int = 1
     inference_chunk_size: int | None = None
     scratch_rows_cap: int | None = None
-    featurize_workers: "int | str | None" = None
 
     @property
     def np_dtype(self) -> np.dtype:
@@ -134,12 +129,6 @@ class MSCNConfig:
             )
         if self.scratch_rows_cap is not None and self.scratch_rows_cap < 1:
             raise ValueError("scratch_rows_cap must be >= 1 (or None for unbounded)")
-        # Validate the featurization worker budget eagerly (None/0 → serial,
-        # "auto" → CPU count, positive int → literal); the import is local
-        # because this module must stay importable before numpy-heavy code.
-        from repro.core.featurization import _resolve_featurize_workers
-
-        _resolve_featurize_workers(self.featurize_workers)
         # Accept plain strings for convenience.
         if not isinstance(self.loss, LossKind):
             object.__setattr__(self, "loss", LossKind(self.loss))

@@ -94,7 +94,6 @@ class MSCNEstimator:
             samples=self.samples,
             variant=self.config.variant,
             dtype=self.config.np_dtype,
-            featurize_workers=self.config.featurize_workers,
         )
         self._model: MSCN | None = None
         self._trainer: MSCNTrainer | None = None
@@ -370,7 +369,6 @@ class MSCNEstimator:
                 "engine_replicas": self.config.engine_replicas,
                 "inference_chunk_size": self.config.inference_chunk_size,
                 "scratch_rows_cap": self.config.scratch_rows_cap,
-                "featurize_workers": self.config.featurize_workers,
             },
             "normalizer": {
                 "min_log": self._normalizer.min_log,
@@ -409,7 +407,7 @@ class MSCNEstimator:
             engine_replicas=config_data.get("engine_replicas", 1),
             inference_chunk_size=config_data.get("inference_chunk_size"),
             scratch_rows_cap=config_data.get("scratch_rows_cap"),
-            featurize_workers=config_data.get("featurize_workers"),
+            # Keys of knobs since removed (older models) are ignored.
         )
         samples = None
         if metadata.get("has_samples"):

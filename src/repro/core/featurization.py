@@ -14,7 +14,7 @@ Queries without joins or without predicates simply have empty join/predicate
 sets; the batching layer pads them and the model's masked average ignores the
 padding.
 
-Three featurization paths share one id-gathering pass and produce consistent
+Four featurization paths share one id-gathering pass and produce consistent
 tensors:
 
 * the legacy per-query path (:meth:`QueryFeaturizer.featurize` +
@@ -23,7 +23,7 @@ tensors:
 * the vectorized *padded* path (:meth:`QueryFeaturizer.featurize_batch` /
   :meth:`QueryFeaturizer.featurize_dataset`), which writes the padded
   ``(batch, max set size, width)`` tensors in a handful of fancy-indexed
-  assignments against precomputed one-hot lookup tables, and
+  assignments against precomputed one-hot lookup tables,
 * the vectorized *ragged* path (:meth:`QueryFeaturizer.featurize_ragged`),
   which skips padding entirely and emits flattened ``(total_elements, width)``
   arrays plus CSR offsets — the layout of the fused inference engine, and
@@ -39,25 +39,17 @@ default in serving configurations; see ``MSCNConfig.dtype``).  Literal
 normalization is always performed in float64 and rounded once on store, so
 the float32 and float64 paths agree to the last representable bit.
 
-Two acceleration tiers sit underneath all of the vectorized paths, both
-bit-identical to the uncompiled gather:
-
-* the **compiled plan** (:class:`CompiledFeaturizerPlan`, on by default) —
-  per-query vocabulary lookups are resolved once, memoized by the query's
-  order-independent signature, and sample probes are registered once in a
-  dense bitmap matrix, so featurizing repeated serving traffic is pure
-  array assembly with no per-element Python dict lookups, and
-* the **process tier** (``featurize_workers=``) — spans of a large workload
-  are gathered in spawned worker processes (each initialized once with the
-  pickled encoding and a reduced sampled-rows database, BLAS pinned to one
-  thread before numpy loads), shipped back as compact id arrays and merged
-  in span order.  The GIL bounds the gather loop, so this is the only tier
-  that scales featurization across cores.
+The vectorized paths gather through the **compiled plan**
+(:class:`CompiledFeaturizerPlan`, on by default): per-query vocabulary
+lookups are resolved once, memoized by the query's order-independent
+signature, and sample probes are registered once in a dense bitmap matrix,
+so featurizing repeated serving traffic is pure array assembly with no
+per-element Python dict lookups.  ``compiled=False`` keeps the interpreted
+gather, the bit-identical reference the plan is tested against.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -67,10 +59,8 @@ from repro.core.arena import ScratchArena
 from repro.core.config import FeaturizationVariant
 from repro.core.encoding import SchemaEncoding
 from repro.core.normalization import ValueNormalizer
-from repro.db.query import Predicate, Query
+from repro.db.query import Query
 from repro.db.sampling import MaterializedSamples
-from repro.db.table import Database, Table
-from repro.utils.parallel import ProcessPool, chunk_spans, resolve_worker_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
     from repro.core.batching import Batch, FeaturizedDataset, RaggedDataset
@@ -178,12 +168,11 @@ class _GatheredWorkload:
     these ids.  ``*_query_ids`` and ``*_slots`` give each element's owning
     query and its position within that query's set.
 
-    ``probe_bitmaps`` is the accelerated tiers' alternative to
+    ``probe_bitmaps`` is the compiled plan's alternative to
     ``sample_probes``: the already-gathered qualifying-sample bitmap rows,
     one per table element.  When present, the downstream writers consume it
     directly instead of probing :class:`~repro.db.sampling.MaterializedSamples`
-    per element (the compiled plan gathers rows from its probe matrix; the
-    process tier ships rows back from the workers).
+    per element (the compiled plan gathers rows from its probe matrix).
     """
 
     num_queries: int
@@ -271,9 +260,10 @@ class CompiledFeaturizerPlan:
 
     The query cache is LRU-bounded (dict-reinsertion order, like the bitmap
     cache) by ``max_cached_queries``; the probe matrix is flushed wholesale
-    — together with the compiled queries that index into it — if a
-    long-tailed workload ever accumulates ``4 * max_cached_queries``
-    distinct probes.
+    — together with the compiled queries that index into it — at the start
+    of a :meth:`gather` once a long-tailed workload has accumulated
+    ``4 * max_cached_queries`` distinct probes (one batch may overshoot the
+    bound; a flush never lands mid-batch).
     """
 
     DEFAULT_MAX_CACHED_QUERIES = 65536
@@ -378,18 +368,6 @@ class CompiledFeaturizerPlan:
             # probe matrix, credited as a bitmap-cache hit (see above).
             self._samples.record_bitmap_reuse(1)
             return probe_id
-        if (
-            self.max_cached_queries is not None
-            and self._num_probes >= 4 * self.max_cached_queries
-        ):
-            # Compiled queries hold indexes into the probe matrix, so probes
-            # cannot be evicted one by one; a wholesale flush (rare: it takes
-            # a quarter-million distinct predicate sets at the default cap)
-            # keeps every reference consistent.
-            self._compiled.clear()
-            self._probe_ids.clear()
-            self._num_probes = 0
-            self._flushes += 1
         bitmap = self._samples.bitmap(table, predicates)
         probe_id = self._num_probes
         if probe_id >= self._probe_matrix.shape[0]:
@@ -410,6 +388,20 @@ class CompiledFeaturizerPlan:
         ``probe_bitmaps`` is pre-gathered so downstream writers skip the
         per-element sample probing entirely.
         """
+        if (
+            self.max_cached_queries is not None
+            and self._num_probes >= 4 * self.max_cached_queries
+        ):
+            # Compiled queries hold indexes into the probe matrix, so probes
+            # cannot be evicted one by one; a wholesale flush (rare: it takes
+            # a quarter-million distinct predicate sets at the default cap)
+            # keeps every reference consistent.  It runs only here, before
+            # the batch compiles: a flush mid-batch would let later probes
+            # overwrite rows that earlier entries of this batch still index.
+            self._compiled.clear()
+            self._probe_ids.clear()
+            self._num_probes = 0
+            self._flushes += 1
         compiled = [self.compile_query(query) for query in queries]
         num_queries = len(queries)
         query_indexes = np.arange(num_queries, dtype=np.int64)
@@ -510,16 +502,6 @@ class QueryFeaturizer:
         :class:`CompiledFeaturizerPlan` — bit-identical output, no
         per-element dict lookups for repeated queries.  On by default;
         ``False`` keeps the uncompiled gather (the reference path).
-    featurize_workers:
-        Default process-level featurization budget: ``None`` or ``0`` — all
-        in-process (the default), ``"auto"`` — CPU count, a positive integer
-        — that many worker processes.  A budget of ``1`` is also in-process
-        (one worker process would add IPC for no parallelism).  Every
-        ``featurize_*`` method accepts a per-call override.
-    min_parallel_queries:
-        Workload size below which the process tier is skipped even when
-        workers are configured (process dispatch costs milliseconds; small
-        batches are cheaper gathered in place).
     """
 
     def __init__(
@@ -530,27 +512,18 @@ class QueryFeaturizer:
         variant: FeaturizationVariant = FeaturizationVariant.BITMAPS,
         dtype: np.dtype | str = np.float64,
         compiled: bool = True,
-        featurize_workers: "int | str | None" = None,
-        min_parallel_queries: int = 256,
     ):
         variant = FeaturizationVariant(variant)
         if variant is not FeaturizationVariant.NO_SAMPLES and samples is None:
             raise ValueError(f"variant {variant.value!r} requires materialized samples")
-        if min_parallel_queries < 1:
-            raise ValueError("min_parallel_queries must be >= 1")
         self.encoding = encoding
         self.value_normalizer = value_normalizer
         self.samples = samples
         self.variant = variant
         self.dtype = np.dtype(dtype)
         self.compiled = bool(compiled)
-        _resolve_featurize_workers(featurize_workers)  # fail fast on junk budgets
-        self.featurize_workers = featurize_workers
-        self.min_parallel_queries = int(min_parallel_queries)
         self._lookups: _FeatureLookups | None = None
         self._plan: CompiledFeaturizerPlan | None = None
-        self._featurize_pool: ProcessPool | None = None
-        self._worker_payload_bytes: "bytes | None" = None
 
     # -- feature widths --------------------------------------------------
     @property
@@ -641,7 +614,6 @@ class QueryFeaturizer:
         queries: Sequence[Query],
         labels: np.ndarray | None = None,
         cardinalities: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
     ) -> "Batch":
         """Featurize and pad a list of queries into one :class:`Batch`.
 
@@ -655,7 +627,7 @@ class QueryFeaturizer:
 
         if not queries:
             raise ValueError("cannot featurize an empty batch")
-        arrays = self._vectorized_arrays(queries, featurize_workers)
+        arrays = self._vectorized_arrays(queries)
         if labels is not None:
             labels = _column_vector(labels, len(queries), "labels")
         if cardinalities is not None:
@@ -667,18 +639,13 @@ class QueryFeaturizer:
         queries: Sequence[Query],
         cardinalities: np.ndarray | None = None,
         labels: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
     ) -> "FeaturizedDataset":
-        """Featurize a whole workload into a pre-collated :class:`FeaturizedDataset`.
-
-        ``featurize_workers`` overrides the featurizer's configured process
-        budget for this call (see the constructor).
-        """
+        """Featurize a whole workload into a pre-collated :class:`FeaturizedDataset`."""
         from repro.core.batching import FeaturizedDataset, _column_vector
 
         if not queries:
             raise ValueError("cannot featurize an empty workload")
-        arrays = self._vectorized_arrays(queries, featurize_workers)
+        arrays = self._vectorized_arrays(queries)
         if labels is not None:
             labels = _column_vector(labels, len(queries), "labels")
         if cardinalities is not None:
@@ -690,7 +657,6 @@ class QueryFeaturizer:
         queries: Sequence[Query],
         cardinalities: np.ndarray | None = None,
         labels: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
     ) -> "RaggedDataset":
         """Featurize a workload directly into the ragged (CSR) layout.
 
@@ -698,9 +664,6 @@ class QueryFeaturizer:
         elements are written, flattened in query order, alongside per-query
         offsets.  This is the serving path's featurization — the arrays feed
         the fused inference engine without any intermediate reshaping.
-
-        ``featurize_workers`` overrides the featurizer's configured process
-        budget for this call (see the constructor).
         """
         from repro.core.batching import RaggedDataset, _column_vector
 
@@ -711,7 +674,7 @@ class QueryFeaturizer:
             return np.zeros((rows, width), dtype=self.dtype)
 
         tables, joins, predicates = self._ragged_sets(
-            self._gathered(queries, featurize_workers), allocate
+            self._gathered(queries), allocate
         )
 
         if labels is not None:
@@ -732,7 +695,6 @@ class QueryFeaturizer:
         buffers: FeatureBuffers,
         cardinalities: np.ndarray | None = None,
         labels: np.ndarray | None = None,
-        featurize_workers: "int | str | None" = None,
     ) -> "RaggedDataset":
         """Featurize a workload into caller-owned reusable buffers (zero-copy).
 
@@ -756,7 +718,7 @@ class QueryFeaturizer:
             return buffers.zeroed(name, rows, width, self.dtype)
 
         tables, joins, predicates = self._ragged_sets(
-            self._gathered(queries, featurize_workers), allocate
+            self._gathered(queries), allocate
         )
         if labels is not None:
             labels = _column_vector(labels, len(queries), "labels")
@@ -830,94 +792,16 @@ class QueryFeaturizer:
         )
         return tables, joins, predicates
 
-    def _gathered(
-        self, queries: Sequence[Query], featurize_workers: "int | str | None" = None
-    ) -> _GatheredWorkload:
-        """Route one workload gather through the fastest applicable tier.
+    def _gathered(self, queries: Sequence[Query]) -> _GatheredWorkload:
+        """Gather one workload's flat ids.
 
-        Large workloads with a multi-process budget go to the process tier;
-        everything else uses the compiled plan (default) or the reference
-        uncompiled gather (``compiled=False``).  All three produce
-        bit-identical downstream features.
+        Through the compiled plan by default, or the interpreted reference
+        gather with ``compiled=False``; both produce bit-identical downstream
+        features.
         """
-        budget = self.featurize_workers if featurize_workers is None else featurize_workers
-        workers = _resolve_featurize_workers(budget)
-        if workers > 1 and len(queries) >= max(self.min_parallel_queries, 2):
-            return self._gather_parallel(queries, workers)
         if self.compiled:
             return self.plan().gather(queries)
         return self._gather(queries)
-
-    def _gather_parallel(self, queries: Sequence[Query], workers: int) -> _GatheredWorkload:
-        """Gather contiguous spans of the workload in worker processes."""
-        spans = chunk_spans(len(queries), min(workers, len(queries)))
-        if len(spans) <= 1:
-            return self.plan().gather(queries) if self.compiled else self._gather(queries)
-        pool = self._ensure_featurize_pool(workers)
-        payloads = [_encode_wire_queries(queries[start:stop]) for start, stop in spans]
-        parts = pool.map(_featurize_worker_gather, payloads)
-        return _merge_gathered_parts(parts, spans, len(queries))
-
-    def _ensure_featurize_pool(self, workers: int) -> ProcessPool:
-        if self._featurize_pool is not None and self._featurize_pool.max_workers != workers:
-            self._featurize_pool.close()
-            self._featurize_pool = None
-        if self._featurize_pool is None:
-            self._featurize_pool = ProcessPool(
-                workers,
-                min_parallel_items=2,
-                name="featurize",
-                initializer=_featurize_worker_configure,
-                initargs=(self._worker_payload(),),
-            )
-        return self._featurize_pool
-
-    def _worker_payload(self) -> bytes:
-        """One pickled blob of worker state: encoding + reduced sample database.
-
-        Workers never see the full database: per table, only the sampled
-        rows' column values cross the process boundary, rebuilt worker-side
-        into a reduced database whose row ``i`` is the parent's ``i``-th
-        sampled row — bitmap probes there evaluate exactly the column values
-        the parent's samples would touch, so worker bitmaps are bit-identical.
-        """
-        if self._worker_payload_bytes is None:
-            sample_state = None
-            if self.variant is not FeaturizationVariant.NO_SAMPLES:
-                samples = self.samples
-                database = samples.database
-                columns: dict[str, dict[str, np.ndarray]] = {}
-                for name in database.table_names:
-                    rows = samples.sample(name).row_indices
-                    table = database.table(name)
-                    columns[name] = {
-                        column: table.column_values(column, rows)
-                        for column in table.schema.column_names
-                    }
-                sample_state = {
-                    "schema": database.schema,
-                    "sample_size": samples.sample_size,
-                    "columns": columns,
-                }
-            state = {
-                "encoding": self.encoding,
-                "variant": self.variant.value,
-                "samples": sample_state,
-            }
-            self._worker_payload_bytes = pickle.dumps(
-                state, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._worker_payload_bytes
-
-    def close(self) -> None:
-        """Shut down the featurization worker processes (idempotent).
-
-        The featurizer stays fully usable; the pool respawns on the next
-        parallel gather.
-        """
-        if self._featurize_pool is not None:
-            self._featurize_pool.close()
-            self._featurize_pool = None
 
     def _gather(self, queries: Sequence[Query]) -> _GatheredWorkload:
         """One pass over the Python query objects, gathering flat integer ids."""
@@ -1007,14 +891,14 @@ class QueryFeaturizer:
         return normalized
 
     def _vectorized_arrays(
-        self, queries: Sequence[Query], featurize_workers: "int | str | None" = None
+        self, queries: Sequence[Query]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The six padded feature/mask arrays of a workload, built densely."""
         lookups = self.lookups()
         encoding = self.encoding
         dtype = self.dtype
         num_queries = len(queries)
-        gathered = self._gathered(queries, featurize_workers)
+        gathered = self._gathered(queries)
 
         table_features = np.zeros(
             (num_queries, gathered.max_tables, self.table_feature_width), dtype=dtype
@@ -1076,237 +960,3 @@ class QueryFeaturizer:
             predicate_mask,
         )
 
-
-def _resolve_featurize_workers(budget: "int | str | None") -> int:
-    """Featurization worker budget: ``resolve_worker_count`` plus ``0`` == serial.
-
-    ``featurize_workers=0`` reads naturally as "zero worker processes" in
-    configurations, so it is accepted as a synonym for ``None``.
-    """
-    if budget == 0 and isinstance(budget, int) and not isinstance(budget, bool):
-        return 1
-    return resolve_worker_count(budget)
-
-
-# ---------------------------------------------------------------------------
-# Process-tier plumbing.  The parent encodes query spans as primitive wire
-# tuples; each worker process holds a one-time `_WireGatherer` (set up by the
-# pool initializer after its BLAS pins) and returns compact id arrays that the
-# parent merges in span order.  Nothing here is part of the public API.
-# ---------------------------------------------------------------------------
-
-_WORKER_GATHERER: "_WireGatherer | None" = None
-
-
-def _encode_wire_queries(queries: Sequence[Query]) -> list[tuple]:
-    """Primitive wire form of a query span — no ``Query`` objects shipped."""
-    return [
-        (
-            query.tables,
-            tuple(join.canonical for join in query.joins),
-            tuple(
-                (p.table, p.column, p.operator.value, int(p.value))
-                for p in query.predicates
-            ),
-        )
-        for query in queries
-    ]
-
-
-class _WireGatherer:
-    """Worker-process gather state: encoding indexes plus reduced samples.
-
-    The sample state is a *reduced* database holding only the sampled rows
-    of every table, in sampled-row order; probing it with ``arange`` row
-    indices evaluates exactly the column values the parent's full-database
-    samples would gather, so worker bitmaps are bit-identical to parent
-    bitmaps (same predicate-evaluation code path, same values, same order).
-    """
-
-    def __init__(
-        self,
-        encoding: SchemaEncoding,
-        variant: FeaturizationVariant,
-        samples: "MaterializedSamples | None",
-    ):
-        self.encoding = encoding
-        self.variant = variant
-        self.samples = samples
-
-    @classmethod
-    def from_payload(cls, state: dict) -> "_WireGatherer":
-        encoding = state["encoding"]
-        variant = FeaturizationVariant(state["variant"])
-        samples = None
-        if state["samples"] is not None:
-            sample_state = state["samples"]
-            schema = sample_state["schema"]
-            tables = {
-                name: Table(schema.table(name), columns)
-                for name, columns in sample_state["columns"].items()
-            }
-            database = Database(schema, tables)
-            row_indices = {
-                name: np.arange(database.table(name).num_rows, dtype=np.int64)
-                for name in database.table_names
-            }
-            samples = MaterializedSamples.from_row_indices(
-                database, sample_state["sample_size"], row_indices
-            )
-        return cls(encoding, variant, samples)
-
-    def gather(self, wire_queries: "list[tuple]") -> dict:
-        """Flat id arrays of one wire-encoded span (query ids span-local)."""
-        encoding = self.encoding
-        needs_samples = self.variant is not FeaturizationVariant.NO_SAMPLES
-        table_query_ids: list[int] = []
-        table_slots: list[int] = []
-        table_ids: list[int] = []
-        table_probe_ids: list[int] = []
-        probe_ids: dict[tuple, int] = {}
-        probe_rows: list[np.ndarray] = []
-        join_query_ids: list[int] = []
-        join_slots: list[int] = []
-        join_ids: list[int] = []
-        predicate_query_ids: list[int] = []
-        predicate_slots: list[int] = []
-        column_ids: list[int] = []
-        operator_ids: list[int] = []
-        literal_values: list[float] = []
-
-        max_tables = max_joins = max_predicates = 1
-        for query_id, (tables, joins, predicates) in enumerate(wire_queries):
-            max_tables = max(max_tables, len(tables))
-            max_joins = max(max_joins, len(joins))
-            max_predicates = max(max_predicates, len(predicates))
-            predicates_by_table: dict[str, list[Predicate]] = {}
-            if needs_samples:
-                for table, column, operator, value in predicates:
-                    predicates_by_table.setdefault(table, []).append(
-                        Predicate(table, column, operator, value)
-                    )
-            for slot, table in enumerate(tables):
-                table_query_ids.append(query_id)
-                table_slots.append(slot)
-                try:
-                    table_ids.append(encoding.table_index[table])
-                except KeyError:
-                    raise KeyError(
-                        f"table {table!r} is not part of the encoded schema"
-                    ) from None
-                if needs_samples:
-                    probes = tuple(predicates_by_table.get(table, ()))
-                    key = MaterializedSamples.probe_signature(table, probes)
-                    probe_id = probe_ids.get(key)
-                    if probe_id is None:
-                        probe_id = len(probe_rows)
-                        probe_rows.append(self.samples.bitmap(table, probes))
-                        probe_ids[key] = probe_id
-                    table_probe_ids.append(probe_id)
-            for slot, join in enumerate(joins):
-                join_query_ids.append(query_id)
-                join_slots.append(slot)
-                try:
-                    join_ids.append(encoding.join_index[join])
-                except KeyError:
-                    raise KeyError(
-                        f"join {join!r} is not part of the encoded schema"
-                    ) from None
-            for slot, (table, column, operator, value) in enumerate(predicates):
-                predicate_query_ids.append(query_id)
-                predicate_slots.append(slot)
-                key = f"{table}.{column}"
-                try:
-                    column_ids.append(encoding.column_index[key])
-                except KeyError:
-                    raise KeyError(
-                        f"column {key!r} is not a predicable (non-key) column"
-                    ) from None
-                operator_ids.append(encoding.operator_index[operator])
-                literal_values.append(float(value))
-
-        as_ids = lambda values: np.asarray(values, dtype=np.int64)  # noqa: E731
-        sample_width = self.samples.sample_size if needs_samples else 0
-        return {
-            "num_queries": len(wire_queries),
-            "table_query_ids": as_ids(table_query_ids),
-            "table_slots": as_ids(table_slots),
-            "table_ids": as_ids(table_ids),
-            "table_probe_ids": as_ids(table_probe_ids) if needs_samples else None,
-            "probe_rows": (
-                np.stack(probe_rows)
-                if probe_rows
-                else np.zeros((0, sample_width), dtype=bool)
-            )
-            if needs_samples
-            else None,
-            "join_query_ids": as_ids(join_query_ids),
-            "join_slots": as_ids(join_slots),
-            "join_ids": as_ids(join_ids),
-            "predicate_query_ids": as_ids(predicate_query_ids),
-            "predicate_slots": as_ids(predicate_slots),
-            "column_ids": as_ids(column_ids),
-            "operator_ids": as_ids(operator_ids),
-            "literal_values": np.asarray(literal_values, dtype=np.float64),
-            "max_tables": max_tables,
-            "max_joins": max_joins,
-            "max_predicates": max_predicates,
-        }
-
-
-def _featurize_worker_configure(payload: bytes) -> None:
-    """Pool initializer: build this worker's gather state once (post-pinning)."""
-    global _WORKER_GATHERER
-    _WORKER_GATHERER = _WireGatherer.from_payload(pickle.loads(payload))
-
-
-def _featurize_worker_gather(wire_queries: "list[tuple]") -> dict:
-    """Pool task: gather one wire-encoded span against the worker state."""
-    if _WORKER_GATHERER is None:  # pragma: no cover - defensive
-        raise RuntimeError("featurization worker used before initialization")
-    return _WORKER_GATHERER.gather(wire_queries)
-
-
-def _merge_gathered_parts(
-    parts: Sequence[dict], spans: Sequence[tuple[int, int]], num_queries: int
-) -> _GatheredWorkload:
-    """Merge span-ordered worker parts into one :class:`_GatheredWorkload`.
-
-    Query ids are shifted by each span's start; every per-element array is a
-    straight concatenation in span (== input) order, so the merged workload
-    is bit-identical to a serial gather over the whole query list.
-    """
-
-    def concatenated(key: str) -> np.ndarray:
-        return np.concatenate([part[key] for part in parts])
-
-    def shifted(key: str) -> np.ndarray:
-        return np.concatenate(
-            [part[key] + start for part, (start, _) in zip(parts, spans)]
-        )
-
-    probe_bitmaps = None
-    if parts[0]["probe_rows"] is not None:
-        probe_bitmaps = np.concatenate(
-            [part["probe_rows"][part["table_probe_ids"]] for part in parts], axis=0
-        )
-
-    return _GatheredWorkload(
-        num_queries=num_queries,
-        table_query_ids=shifted("table_query_ids"),
-        table_slots=concatenated("table_slots"),
-        table_ids=concatenated("table_ids"),
-        sample_probes=[],
-        join_query_ids=shifted("join_query_ids"),
-        join_slots=concatenated("join_slots"),
-        join_ids=concatenated("join_ids"),
-        predicate_query_ids=shifted("predicate_query_ids"),
-        predicate_slots=concatenated("predicate_slots"),
-        column_ids=concatenated("column_ids"),
-        operator_ids=concatenated("operator_ids"),
-        literal_values=concatenated("literal_values"),
-        max_tables=max(part["max_tables"] for part in parts),
-        max_joins=max(part["max_joins"] for part in parts),
-        max_predicates=max(part["max_predicates"] for part in parts),
-        probe_bitmaps=probe_bitmaps,
-    )

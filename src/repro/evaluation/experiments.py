@@ -223,14 +223,8 @@ class ExperimentContext:
         if key not in self._featurized_workloads:
             estimator = self.trained_mscn(variant)
             labelled = self.synthetic_workload
-            # The workload config owns the featurization budget for its own
-            # queries (process tier for large corpora, serial by default).
-            workload_config = self._workload_config(
-                self.scale.num_synthetic_queries, self.scale.evaluation_seed
-            )
             self._featurized_workloads[key] = estimator.featurizer.featurize_dataset(
                 [q.query for q in labelled],
                 cardinalities=[q.cardinality for q in labelled],
-                featurize_workers=getattr(workload_config, "featurize_workers", None),
             )
         return self._featurized_workloads[key]

@@ -122,6 +122,27 @@ class TestQueryCache:
         plan.compile_query(queries[-1])
         assert plan.cache_hits == hits + 1
 
+    def test_probe_flush_never_corrupts_a_batch(self, parts, tiny_workload):
+        # A cap of 2 bounds the probe matrix at 8 distinct probes, which one
+        # batch of the workload crosses.  Flushing mid-batch would let later
+        # probes overwrite rows the batch's earlier queries still index.
+        queries = [labelled.query for labelled in tiny_workload]
+        first, second = queries[: len(queries) // 2], queries[len(queries) // 2 :]
+        reference = make_featurizer(parts, False)
+        featurizer = make_featurizer(parts, True)
+        featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=2)
+        assert_ragged_equal(
+            featurizer.featurize_ragged(first), reference.featurize_ragged(first)
+        )
+        assert featurizer.plan().num_probes > 8  # the batch overshot the bound
+        # The next batch starts with a flush and is still exact.
+        assert_ragged_equal(
+            featurizer.featurize_ragged(second), reference.featurize_ragged(second)
+        )
+        assert_ragged_equal(
+            featurizer.featurize_ragged(first), reference.featurize_ragged(first)
+        )
+
     def test_invalid_cache_cap_rejected(self, parts):
         featurizer = make_featurizer(parts, True)
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,24 @@ class TestIntrospectionAndPersistence:
             trained_estimator.estimate_many(queries),
             restored.estimate_many(queries),
             rtol=1e-9,
+        )
+
+    def test_load_ignores_the_removed_featurization_worker_budget(
+        self, trained_estimator, tiny_database, tiny_workload, tmp_path
+    ):
+        # Models saved while featurization had a process-worker knob carry
+        # its key in metadata.json; loading them must still work exactly.
+        directory = tmp_path / "model"
+        trained_estimator.save(directory)
+        metadata_path = directory / "metadata.json"
+        metadata = json.loads(metadata_path.read_text(encoding="utf-8"))
+        metadata["config"]["featurize_workers"] = 2
+        metadata_path.write_text(json.dumps(metadata), encoding="utf-8")
+        restored = MSCNEstimator.load(directory, tiny_database)
+        queries = [labelled.query for labelled in tiny_workload[:10]]
+        assert (
+            restored.estimate_many(queries).tobytes()
+            == trained_estimator.estimate_many(queries).tobytes()
         )
 
     def test_save_before_fit_raises(self, tiny_database, small_config, tiny_samples, tmp_path):
