@@ -273,8 +273,15 @@ class CompiledFeaturizerPlan:
         featurizer: "QueryFeaturizer",
         max_cached_queries: "int | None" = DEFAULT_MAX_CACHED_QUERIES,
     ):
-        if max_cached_queries is not None and max_cached_queries <= 0:
-            raise ValueError("max_cached_queries must be positive or None")
+        if max_cached_queries is not None and (
+            isinstance(max_cached_queries, bool)
+            or not isinstance(max_cached_queries, int)
+            or max_cached_queries <= 0
+        ):
+            raise ValueError(
+                f"max_cached_queries must be a positive integer or None, "
+                f"got {max_cached_queries!r}"
+            )
         encoding = featurizer.encoding
         self._table_index = encoding.table_index
         self._join_index = encoding.join_index

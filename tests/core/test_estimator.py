@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import FeaturizationVariant, MSCNConfig
 from repro.core.estimator import MSCNEstimator
+from repro.core.featurization import CompiledFeaturizerPlan
 from repro.evaluation.metrics import q_errors
 
 
@@ -174,6 +175,21 @@ class TestVectorizedServingPath:
         # After the first call every probe of the repeated workload is cached.
         assert second.bitmap_cache_hits == num_probes
         assert first.bitmap_cache_hits <= num_probes
+
+    def test_probe_flushes_between_calls_keep_estimates_exact(
+        self, trained_estimator, tiny_database, tiny_workload, tmp_path
+    ):
+        # A restored copy whose plan flushes its probe matrix every few
+        # probes must serve the very estimates of the never-flushing original.
+        trained_estimator.save(tmp_path / "model")
+        restored = MSCNEstimator.load(tmp_path / "model", tiny_database)
+        featurizer = restored.featurizer
+        featurizer._plan = CompiledFeaturizerPlan(featurizer, max_cached_queries=2)
+        queries = [labelled.query for labelled in tiny_workload[:30]]
+        expected = trained_estimator.estimate_many(queries).tobytes()
+        for _ in range(2):
+            assert restored.estimate_many(queries).tobytes() == expected
+        assert featurizer.plan()._flushes > 0
 
     def test_save_load_roundtrip_preserves_bitmap_semantics(self, trained_estimator,
                                                             tiny_database, tiny_workload,

@@ -137,6 +137,51 @@ class TestWorkerPool:
         assert pool.map(lambda x: x + 1, list(range(30))) == list(range(1, 31))
         pool.close()
 
+    @pytest.mark.parametrize("junk", [0, -1, 2.5, "fast", True, False])
+    def test_junk_worker_budget_rejected_eagerly(self, junk):
+        with pytest.raises(ValueError):
+            WorkerPool(junk)
+
+    def test_single_worker_runs_inline(self):
+        # One worker thread would be pure hand-off overhead.
+        pool = WorkerPool(1, min_parallel_items=1)
+        assert pool.effective_workers(1000) == 1
+        caller = threading.current_thread().name
+        assert pool.run_spans(20, lambda s, e: threading.current_thread().name) == [
+            caller
+        ]
+        assert pool._executor is None
+
+    def test_serial_fallback_runs_one_span_over_the_whole_range(self):
+        pool = WorkerPool(4, min_parallel_items=100)
+        assert pool.run_spans(50, lambda start, stop: (start, stop)) == [(0, 50)]
+
+    def test_parallel_spans_run_on_named_worker_threads(self):
+        caller = threading.current_thread().name
+        with WorkerPool(2, min_parallel_items=1, name="span-worker") as pool:
+            threads = pool.run_spans(10, lambda s, e: threading.current_thread().name)
+        assert len(threads) == 2
+        assert caller not in threads
+        assert all(name.startswith("span-worker") for name in threads)
+
+    def test_more_workers_than_items_gives_one_span_per_item(self):
+        with WorkerPool(16, min_parallel_items=1) as pool:
+            spans = pool.run_spans(3, lambda start, stop: (start, stop))
+        assert spans == [(0, 1), (1, 2), (2, 3)]
+
+    def test_executor_is_reused_across_calls(self):
+        with WorkerPool(2, min_parallel_items=1) as pool:
+            pool.map(lambda x: x, list(range(10)))
+            executor = pool._executor
+            assert executor is not None
+            pool.map(lambda x: x, list(range(10)))
+            assert pool._executor is executor
+
+    def test_auto_budget_matches_serial(self):
+        items = list(range(257))
+        with WorkerPool("auto", min_parallel_items=1) as pool:
+            assert pool.map(lambda x: 3 * x + 1, items) == [3 * x + 1 for x in items]
+
     def test_rejects_bad_min_parallel_items(self):
         with pytest.raises(ValueError):
             WorkerPool(2, min_parallel_items=0)
